@@ -16,59 +16,16 @@ import scala.util.control.Breaks
   */
 object BottomUpDCCS {
 
-  final case class Config(vertexDeletion: Boolean = true,
-                          sortLayers: Boolean = true,
-                          initTopK: Boolean = true)
-
   def run(g: MLGraph, d: Int, s: Int, k: Int,
-          cfg: Config = Config()): GreedyDCCS.Output = {
-    require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
-    val t0 = System.nanoTime()
+          cfg: Config = Config()): Output = {
+    // Lines 1-7 and 9: vertex deletion, then layers sorted in descending
+    // order of |C^d(G_i)|.
+    val ctx = new SearchContext(g, d, s, k, cfg, c => -c.length)
+    import ctx.{candidates, cores, dccCalls, mkCore, order, pre, topk}
     val l = g.numLayers
-    var dccCalls = 0
-    var candidates = 0
-
-    // BU-DCCS lines 1-7: vertex deletion.
-    val pre = Preprocess.vertexDeletion(g, d, s, cfg.vertexDeletion)
-    dccCalls += l * pre.rounds
-
-    // Line 9: sort layers in descending order of |C^d(G_i)|. We work in
-    // position space: position p denotes original layer order(p).
-    val order: Array[Int] =
-      if (cfg.sortLayers) (0 until l).sortBy(i => -pre.layerCores(i).length).toArray
-      else Array.range(0, l)
-    val cores: Array[Array[Int]] = order.map(pre.layerCores) // core at position p
-
-    val topk = new TopKDiversified(k)
-
-    def mkCore(positions: Seq[Int], vs: Array[Int]): Core =
-      Core(positions.map(order).sorted.toVector, vs)
 
     // Line 8: InitTopK (Appendix D).
-    if (cfg.initTopK) {
-      var p = 0
-      while (p < k) {
-        // layer whose d-core maximally enlarges Cov(R)
-        val covered = new java.util.BitSet(g.numVertices)
-        topk.result.foreach(_.vertices.foreach(covered.set))
-        val i = (0 until l).maxBy(j => cores(j).count(v => !covered.get(v)))
-        var L = List(i)
-        var c = cores(i)
-        var q = 1
-        while (q < s) {
-          val j = (0 until l).filterNot(L.contains)
-            .maxBy(j2 => SetOps.intersect(c, cores(j2)).length)
-          c = SetOps.intersect(c, cores(j))
-          L = j :: L
-          q += 1
-        }
-        dccCalls += 1
-        val cc = if (c.isEmpty) Array.empty[Int] else Dcc.compute(g, L.map(order).toArray, d, c)
-        candidates += 1
-        topk.tryUpdate(mkCore(L, cc))
-        p += 1
-      }
-    }
+    ctx.initTopK()
 
     // Procedure BU-Gen (Fig. 3), positions ascending in `L`.
     def buGen(L: List[Int], cL: Array[Int], lQ: Set[Int]): Unit = {
@@ -118,9 +75,6 @@ object BottomUpDCCS {
 
     if (s >= 1) buGen(Nil, pre.active, Set.empty)
 
-    val res = topk.result
-    GreedyDCCS.Output(res, topk.covSize,
-      GreedyDCCS.Stats(dccCalls, candidates,
-                       (System.nanoTime() - t0) / 1000000L))
+    ctx.output()
   }
 }

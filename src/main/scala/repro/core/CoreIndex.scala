@@ -9,20 +9,18 @@ import scala.collection.mutable
   * `Num(v) ≤ h` (support = number of layers whose d-core, recomputed on the
   * surviving graph, contains v). `I_h` is the set of vertices removed at
   * threshold `h`; inside `I_h` each batch forms one level, later batches on
-  * higher levels. Every vertex carries `L(v)` — the set of layers (here:
-  * layer *positions* in the algorithm's sorted order) whose d-core contained
-  * it just before its removal. Index edges are the union-graph edges.
+  * higher levels. Index edges are the union-graph edges.
+  *
+  * The paper also labels each vertex with `L(v)`, the layers whose d-core
+  * contained it just before its removal; only the Lemma-9 chain discard reads
+  * those labels, and TD-DCCS omits that discard (see [[TopDownDCCS]]), so the
+  * index keeps just `h` per vertex and the levels.
   *
   * Built once per TD-DCCS run on the preprocessed graph.
   */
 final class CoreIndex private (
-    val numVertices: Int,
     /** threshold h at which each vertex was removed; -1 if not indexed. */
     val hOf: Array[Int],
-    /** global level (batch order) of each vertex; -1 if not indexed. */
-    val levelOf: Array[Int],
-    /** L(v) as sorted layer positions; null if not indexed. */
-    val lvOf: Array[Array[Int]],
     /** vertices of each level, ascending level id. */
     val levels: Array[Array[Int]],
 )
@@ -37,8 +35,6 @@ object CoreIndex {
     val n = g.numVertices
     val l = g.numLayers
     val hOf = Array.fill(n)(-1)
-    val levelOf = Array.fill(n)(-1)
-    val lvOf = new Array[Array[Int]](n)
     val levels = mutable.ArrayBuffer.empty[Array[Int]]
 
     var act = active
@@ -57,7 +53,6 @@ object CoreIndex {
 
     var bits = coreBits()
     var h = 1
-    var level = 0
     while (h <= l && act.nonEmpty) {
       var more = true
       while (more && act.nonEmpty) {
@@ -68,13 +63,8 @@ object CoreIndex {
         }
         if (batch.isEmpty) more = false
         else {
-          batch.foreach { v =>
-            hOf(v) = h
-            levelOf(v) = level
-            lvOf(v) = (0 until l).filter(p => bits(p).get(v)).toArray
-          }
+          batch.foreach(hOf(_) = h)
           levels += batch
-          level += 1
           val gone = batch.toSet
           act = act.filterNot(gone)
           bits = coreBits()
@@ -86,6 +76,6 @@ object CoreIndex {
     // every vertex has Num(v) ≤ l); defensive:
     require(act.isEmpty, s"index construction left ${act.length} vertices unassigned")
 
-    new CoreIndex(n, hOf, levelOf, lvOf, levels.toArray)
+    new CoreIndex(hOf, levels.toArray)
   }
 }

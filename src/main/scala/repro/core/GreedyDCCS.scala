@@ -8,28 +8,13 @@ package repro.core
   */
 object GreedyDCCS {
 
-  /** Machine-independent work counters shared by all three algorithms. */
-  final case class Stats(dccCalls: Int,
-                         candidatesGenerated: Int,
-                         totalMillis: Long)
-
-  final case class Output(result: Vector[Core], coverSize: Int, stats: Stats) {
-    def coverSet: Array[Int] = {
-      val bs = new java.util.BitSet()
-      result.foreach(_.vertices.foreach(bs.set))
-      Iterator.iterate(bs.nextSetBit(0))(i => bs.nextSetBit(i + 1))
-        .takeWhile(_ >= 0).toArray
-    }
-  }
-
-  def run(g: MLGraph, d: Int, s: Int, k: Int,
-          vertexDeletion: Boolean = true): Output = {
-    require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
+  def run(g: MLGraph, d: Int, s: Int, k: Int): Output = {
+    Algo.requireParams(g.numLayers, s, k)
     val t0 = System.nanoTime()
     var dccCalls = 0
 
     // Lines 1-3 + preprocessing: per-layer d-cores (on the pruned graph).
-    val pre = Preprocess.vertexDeletion(g, d, s, vertexDeletion)
+    val pre = Preprocess.vertexDeletion(g, d, s)
     dccCalls += g.numLayers * pre.rounds
 
     // Lines 4-7: one candidate per layer subset of size s, computed inside
@@ -43,8 +28,18 @@ object GreedyDCCS {
       Core(combo.toVector, cc)
     }.toVector
 
-    // Lines 8-10: greedy max-cover selection.
-    val covered = new java.util.BitSet(g.numVertices)
+    val (picked, coverSize) = greedySelect(candidates, k)
+    Output(picked, coverSize,
+      Stats(dccCalls, candidates.length,
+            (System.nanoTime() - t0) / 1000000L))
+  }
+
+  /** Lines 8-10: greedy max-cover selection of up to `k` candidates, each
+    * pick the first candidate of largest marginal gain. Returns the picks
+    * and the size of their cover.
+    */
+  def greedySelect(candidates: Seq[Core], k: Int): (Vector[Core], Int) = {
+    val covered = new java.util.BitSet()
     val picked = Vector.newBuilder[Core]
     val remaining = scala.collection.mutable.ArrayBuffer.from(candidates)
     var j = 0
@@ -62,10 +57,6 @@ object GreedyDCCS {
       picked += best
       j += 1
     }
-
-    val res = picked.result()
-    Output(res, covered.cardinality(),
-      Stats(dccCalls, candidates.length,
-            (System.nanoTime() - t0) / 1000000L))
+    (picked.result(), covered.cardinality())
   }
 }

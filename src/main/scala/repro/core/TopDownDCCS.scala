@@ -34,61 +34,22 @@ import scala.util.control.Breaks
   */
 object TopDownDCCS {
 
-  final case class Config(vertexDeletion: Boolean = true,
-                          sortLayers: Boolean = true,
-                          initTopK: Boolean = true,
-                          seed: Long = 42L)
+  /** Seed of the Lemma-7 random descendant choice. */
+  private val Seed = 42L
 
   def run(g: MLGraph, d: Int, s: Int, k: Int,
-          cfg: Config = Config()): GreedyDCCS.Output = {
-    require(s >= 1 && s <= g.numLayers, s"s=$s out of range 1..${g.numLayers}")
-    val t0 = System.nanoTime()
+          cfg: Config = Config()): Output = {
+    // Lines 1-8 of BU-DCCS (vertex deletion, InitTopK below), with line 2 of
+    // TD-DCCS: ascending order of |C^d(G_i)|.
+    val ctx = new SearchContext(g, d, s, k, cfg, c => c.length)
+    import ctx.{candidates, cores, dccCalls, mkCore, order, pre, topk}
     val l = g.numLayers
-    val rng = new scala.util.Random(cfg.seed)
-    var dccCalls = 0
-    var candidates = 0
-
-    // Lines 1-8 of BU-DCCS: vertex deletion (+ InitTopK below).
-    val pre = Preprocess.vertexDeletion(g, d, s, cfg.vertexDeletion)
-    dccCalls += l * pre.rounds
-
-    // Line 2 of TD-DCCS: ascending order of |C^d(G_i)|.
-    val order: Array[Int] =
-      if (cfg.sortLayers) (0 until l).sortBy(i => pre.layerCores(i).length).toArray
-      else Array.range(0, l)
-    val cores: Array[Array[Int]] = order.map(pre.layerCores)
+    val rng = new scala.util.Random(Seed)
     val coreBits: Array[java.util.BitSet] = cores.map { c =>
       val bs = new java.util.BitSet(g.numVertices); c.foreach(bs.set); bs
     }
 
-    val topk = new TopKDiversified(k)
-
-    def mkCore(positions: Seq[Int], vs: Array[Int]): Core =
-      Core(positions.map(order).sorted.toVector, vs)
-
-    // InitTopK (Appendix D), identical to the BU variant.
-    if (cfg.initTopK) {
-      var p = 0
-      while (p < k) {
-        val covered = new java.util.BitSet(g.numVertices)
-        topk.result.foreach(_.vertices.foreach(covered.set))
-        val i = (0 until l).maxBy(j => cores(j).count(v => !covered.get(v)))
-        var L = List(i)
-        var c = cores(i)
-        var q = 1
-        while (q < s) {
-          val j = (0 until l).filterNot(L.contains)
-            .maxBy(j2 => SetOps.intersect(c, cores(j2)).length)
-          c = SetOps.intersect(c, cores(j))
-          L = j :: L
-          q += 1
-        }
-        dccCalls += 1; candidates += 1
-        val cc = if (c.isEmpty) Array.empty[Int] else Dcc.compute(g, L.map(order).toArray, d, c)
-        topk.tryUpdate(mkCore(L, cc))
-        p += 1
-      }
-    }
+    ctx.initTopK()
 
     // Line 3: the index. (Its construction cost is in totalMillis; dccCalls
     // counts only search-phase peels, the machine-independent search-space
@@ -187,8 +148,6 @@ object TopDownDCCS {
     if (s == l) { candidates += 1; topk.tryUpdate(mkCore(allPos, cRoot)) }
     else tdGen(allPos, pre.active)
 
-    GreedyDCCS.Output(topk.result, topk.covSize,
-      GreedyDCCS.Stats(dccCalls, candidates,
-                       (System.nanoTime() - t0) / 1000000L))
+    ctx.output()
   }
 }

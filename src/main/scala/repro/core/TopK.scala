@@ -2,15 +2,6 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A discovered d-CC: its layer subset `L` (original layer ids, sorted) and
-  * its vertex set (sorted).
-  */
-final case class Core(layers: Vector[Int], vertices: Array[Int]) {
-  def size: Int = vertices.length
-  override def toString: String =
-    s"Core(L=${layers.mkString("{", ",", "}")}, |C|=${vertices.length})"
-}
-
 /** Temporary top-k diversified d-CC set `R` (Section IV-A + Appendix C).
   *
   * Maintains, per the paper's Update procedure:

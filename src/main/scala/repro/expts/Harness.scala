@@ -39,12 +39,7 @@ object Experiments {
     synchronized { cache.getOrElseUpdate(name, MLSynth.preset(name)) }
 
   def runAlgo(algo: String, name: String, g: MLGraph, d: Int, s: Int, k: Int): Run = {
-    val out = algo match {
-      case "GD" => GreedyDCCS.run(g, d, s, k)
-      case "BU" => BottomUpDCCS.run(g, d, s, k)
-      case "TD" => TopDownDCCS.run(g, d, s, k)
-      case other => sys.error(s"unknown algorithm $other")
-    }
+    val out = Algo.byName(algo).run(g, d, s, k)
     Run(algo, name, d, s, k, out.stats.totalMillis, out.stats.dccCalls,
         out.stats.candidatesGenerated, out.coverSize, out.result)
   }
@@ -112,20 +107,20 @@ object Experiments {
 
   def ablation(name: String, algo: String, s: Int,
                d: Int = DefaultD, k: Int = DefaultK): Seq[Ablation] = {
+    val search = Algo.byName(algo) match {
+      case a: SearchAlgo => a
+      case a => throw new IllegalArgumentException(s"$a has no preprocessing steps to ablate")
+    }
     val g = dataset(name).graph
-    def bu(vd: Boolean, sl: Boolean, ir: Boolean) =
-      BottomUpDCCS.run(g, d, s, k, BottomUpDCCS.Config(vd, sl, ir))
-    def td(vd: Boolean, sl: Boolean, ir: Boolean) =
-      TopDownDCCS.run(g, d, s, k, TopDownDCCS.Config(vd, sl, ir))
     val variants = Seq(
-      ("Full",   (true,  true,  true)),
-      ("No-VD",  (false, true,  true)),
-      ("No-SL",  (true,  false, true)),
-      ("No-IR",  (true,  true,  false)),
-      ("No-Pre", (false, false, false)),
+      ("Full",   Config(true,  true,  true)),
+      ("No-VD",  Config(false, true,  true)),
+      ("No-SL",  Config(true,  false, true)),
+      ("No-IR",  Config(true,  true,  false)),
+      ("No-Pre", Config(false, false, false)),
     )
-    variants.map { case (label, (vd, sl, ir)) =>
-      val out = if (algo == "BU") bu(vd, sl, ir) else td(vd, sl, ir)
+    variants.map { case (label, cfg) =>
+      val out = search.run(g, d, s, k, cfg)
       Ablation(label, out.stats.totalMillis, out.stats.dccCalls, out.coverSize)
     }
   }
@@ -150,8 +145,8 @@ object Experiments {
     val covQ = SetOps.coverSize(mimag.clusters.map(_.vertices))
     val covC = bu.coverSize
     val qSet = new java.util.BitSet(); mimag.clusters.foreach(_.vertices.foreach(qSet.set))
-    val cSet = new java.util.BitSet(); bu.result.foreach(_.vertices.foreach(cSet.set))
-    val both = { val b = qSet.clone().asInstanceOf[java.util.BitSet]; b.and(cSet); b.cardinality() }
+    val buCover = bu.coverSet
+    val both = buCover.count(qSet.get)
     val precision = if (covC == 0) 0.0 else both.toDouble / covC
     val recall = if (covQ == 0) 0.0 else both.toDouble / covQ
     val f1 = if (precision + recall == 0) 0.0 else 2 * precision * recall / (precision + recall)
@@ -162,14 +157,12 @@ object Experiments {
         subgraphs.exists(sg => SetOps.subsetOf(cx.vertices, sg)))
       hit.toDouble / gen.complexes.length
     }
-    val buCoverArr = Iterator.iterate(cSet.nextSetBit(0))(i => cSet.nextSetBit(i + 1))
-      .takeWhile(_ >= 0).toArray
 
     Comparison(name, d, mimag.millis, bu.stats.totalMillis,
       covQ, covC, precision, recall, f1,
       proportion(mimag.clusters.map(_.vertices)),
       proportion(bu.result.map(_.vertices)),
-      mimag.clusters, buCoverArr)
+      mimag.clusters, buCover)
   }
 
   // ---- T13 (Fig. 30): |Q ∩ Cov(R_C)| distribution -------------------------

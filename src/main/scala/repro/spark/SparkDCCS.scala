@@ -15,31 +15,23 @@ import repro.core._
   */
 object SparkDCCS {
 
-  sealed trait Algo
-  case object GD extends Algo
-  case object BU extends Algo
-  case object TD extends Algo
-
   /** Distributed preprocessing + local search. `numVertices` is the vertex
     * universe size of the edge DataFrame.
     */
   def run(spark: SparkSession, edges: DataFrame, numLayers: Int, numVertices: Int,
-          algo: Algo, d: Int, s: Int, k: Int): GreedyDCCS.Output = {
+          algo: Algo, d: Int, s: Int, k: Int): Output = {
     val pruned = SparkGraph.vertexDeletionDF(spark, edges, numLayers, d, s)
     val g = SparkGraph.toLocal(pruned, numLayers, numVertices)
     // The local vertex-deletion pass converges in one round on the already
     // distributed-pruned graph; keeping it on makes the outputs bit-identical
     // to the purely local algorithms.
-    algo match {
-      case GD => GreedyDCCS.run(g, d, s, k)
-      case BU => BottomUpDCCS.run(g, d, s, k)
-      case TD => TopDownDCCS.run(g, d, s, k)
-    }
+    algo.run(g, d, s, k)
   }
 
   /** GD-DCCS with every candidate d-CC computed by DataFrame peeling. */
   def greedyDistributed(spark: SparkSession, edges: DataFrame, numLayers: Int,
-                        d: Int, s: Int, k: Int): GreedyDCCS.Output = {
+                        d: Int, s: Int, k: Int): Output = {
+    Algo.requireParams(numLayers, s, k)
     val t0 = System.nanoTime()
     val pruned = SparkGraph.vertexDeletionDF(spark, edges, numLayers, d, s)
     var dccCalls = 0
@@ -50,21 +42,9 @@ object SparkDCCS {
       Core(combo.toVector, cc)
     }.toVector
 
-    val covered = new java.util.BitSet()
-    val picked = Vector.newBuilder[Core]
-    val remaining = scala.collection.mutable.ArrayBuffer.from(candidates)
-    var j = 0
-    while (j < k && remaining.nonEmpty) {
-      val bestIdx = remaining.indices.maxBy { i =>
-        remaining(i).vertices.count(v => !covered.get(v))
-      }
-      val best = remaining.remove(bestIdx)
-      best.vertices.foreach(covered.set)
-      picked += best
-      j += 1
-    }
-    GreedyDCCS.Output(picked.result(), covered.cardinality(),
-      GreedyDCCS.Stats(dccCalls, candidates.length,
-                       (System.nanoTime() - t0) / 1000000L))
+    val (picked, coverSize) = GreedyDCCS.greedySelect(candidates, k)
+    Output(picked, coverSize,
+      Stats(dccCalls, candidates.length,
+            (System.nanoTime() - t0) / 1000000L))
   }
 }

@@ -2,6 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.core.{MLGraph, SetOps}
 
 /** DataFrame operators over multi-layer graphs.
@@ -150,15 +151,28 @@ object SparkGraph {
   def collectVertices(df: DataFrame): Array[Int] =
     df.collect().map(_.getInt(0)).sorted
 
-  /** Multi-layer edges built from [[repro.SynthData]] zipf keys — a skewed
-    * stress graph whose heavy keys form natural high-degree hubs.
+  /** Skewed key column `k` in 1..nKeys, drawn by an inverse-CDF over rank
+    * weights 1/k^alpha; good enough for skew.
+    */
+  private def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
+                       alpha: Double, seed: Long): DataFrame = {
+    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k.toDouble, alpha)).sum
+    spark.range(rows).select(
+      least(lit(nKeys),
+            greatest(lit(1L),
+              pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
+            )) as "k")
+  }
+
+  /** Multi-layer edges built from [[zipfKeys]] — a skewed stress graph whose
+    * heavy keys form natural high-degree hubs.
     */
   def zipfEdges(spark: SparkSession, numLayers: Int, rowsPerLayer: Long,
                 nKeys: Long, alpha: Double = 1.1, seed: Long = 11L): DataFrame = {
     (0 until numLayers).map { li =>
-      val src = repro.SynthData.zipfKeys(spark, rowsPerLayer, nKeys, alpha, seed + 2L * li)
+      val src = zipfKeys(spark, rowsPerLayer, nKeys, alpha, seed + 2L * li)
         .select((col("k") - 1).cast("int").as("src"))
-      val dst = repro.SynthData.zipfKeys(spark, rowsPerLayer, nKeys, alpha, seed + 2L * li + 1)
+      val dst = zipfKeys(spark, rowsPerLayer, nKeys, alpha, seed + 2L * li + 1)
         .select((col("k") - 1).cast("int").as("dst"))
       val a = src.withColumn("rid", monotonically_increasing_id())
       val b = dst.withColumn("rid", monotonically_increasing_id())

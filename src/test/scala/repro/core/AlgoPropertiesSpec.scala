@@ -81,4 +81,15 @@ class AlgoPropertiesSpec extends AnyFunSuite {
       assert(st.totalMillis >= 0)
     }
   }
+
+  test("GD, BU and TD reject k = 0, s = 0 and s = l + 1 the same way") {
+    val g = TestGraphs.random(770, 12, 4, 0.3)
+    for ((s, k) <- Seq((2, 0), (0, 3), (5, 3))) {
+      val msgs = Algo.all.map { a =>
+        intercept[IllegalArgumentException](a.run(g, 2, s, k)).getMessage
+      }
+      assert(msgs.distinct.length == 1, s"s=$s k=$k: $msgs")
+      assert(msgs.head.contains(s"s=$s, l=4, k=$k"))
+    }
+  }
 }

@@ -12,6 +12,27 @@ class CoreIndexSpec extends AnyFunSuite {
     (g, pre, CoreIndex.build(g, order, d, pre.active))
   }
 
+  /** Level id of each vertex and its label `L(v)`: the layer positions whose
+    * d-core contained v just before its removal. Rebuilt by replaying the
+    * index's levels batch by batch on the surviving set (identity order, as
+    * in `build`).
+    */
+  private def replay(g: MLGraph, pre: Preprocess.State, idx: CoreIndex,
+                     d: Int = 2): (Array[Int], Array[Array[Int]]) = {
+    val levelOf = Array.fill(g.numVertices)(-1)
+    val lvOf = new Array[Array[Int]](g.numVertices)
+    var act = pre.active
+    idx.levels.zipWithIndex.foreach { case (batch, lev) =>
+      val cores = DCore.allLayers(g, d, act)
+      batch.foreach { v =>
+        levelOf(v) = lev
+        lvOf(v) = cores.indices.filter(p => SetOps.contains(cores(p), v)).toArray
+      }
+      act = SetOps.diff(act, batch)
+    }
+    (levelOf, lvOf)
+  }
+
   for (seed <- 1 to 5) {
     test(s"levels partition the active set (seed=$seed)") {
       val (_, pre, idx) = build(seed)
@@ -21,14 +42,15 @@ class CoreIndexSpec extends AnyFunSuite {
     }
 
     test(s"hOf is non-decreasing across levels and L(v) has |L(v)| <= h (seed=$seed)") {
-      val (_, _, idx) = build(seed)
+      val (g, pre, idx) = build(seed)
+      val (levelOf, lvOf) = replay(g, pre, idx)
       var lastH = 1
       idx.levels.zipWithIndex.foreach { case (vs, lev) =>
         vs.foreach { v =>
-          assert(idx.levelOf(v) == lev)
+          assert(levelOf(v) == lev)
           assert(idx.hOf(v) >= lastH, s"h went backwards at level $lev")
-          assert(idx.lvOf(v).length <= idx.hOf(v),
-            s"v=$v removed at h=${idx.hOf(v)} but |L(v)|=${idx.lvOf(v).length}")
+          assert(lvOf(v).length <= idx.hOf(v),
+            s"v=$v removed at h=${idx.hOf(v)} but |L(v)|=${lvOf(v).length}")
         }
         if (vs.nonEmpty) lastH = idx.hOf(vs.head)
       }
@@ -62,15 +84,16 @@ class CoreIndexSpec extends AnyFunSuite {
     // graph a vertex of C_{0,1} has no ascending index chain from a vertex
     // w0 with L ⊆ L(w0), so the Fig. 10 procedure would wrongly discard it.
     val (g, pre, idx) = build(3)
+    val (levelOf, lvOf) = replay(g, pre, idx)
     val active = pre.active.toSet
     val violated = (0 until g.numLayers).combinations(2).exists { combo =>
       val L = combo.toArray
       val cc = Dcc.compute(g, L, 2, pre.active)
       val reached = scala.collection.mutable.Set.empty[Int]
-      pre.active.sortBy(idx.levelOf).foreach { v =>
-        val isStart = SetOps.subsetOf(L, idx.lvOf(v))
+      pre.active.sortBy(levelOf).foreach { v =>
+        val isStart = SetOps.subsetOf(L, lvOf(v))
         val fromBelow = g.unionAdj(v).exists(u =>
-          active(u) && reached(u) && idx.levelOf(u) < idx.levelOf(v))
+          active(u) && reached(u) && levelOf(u) < levelOf(v))
         if (isStart || fromBelow) reached += v
       }
       cc.exists(v => !reached(v))

@@ -65,5 +65,8 @@ class HarnessSpec extends AnyFunSuite {
   test("runAlgo rejects unknown algorithms") {
     intercept[RuntimeException](
       Experiments.runAlgo("XX", "ppi", Experiments.dataset("ppi").graph, 2, 2, 2))
+    // ablation toggles BU/TD preprocessing only: GD and unknown names fail
+    for (algo <- Seq("GD", "XX"))
+      intercept[IllegalArgumentException](Experiments.ablation("ppi", algo, s = 3))
   }
 }

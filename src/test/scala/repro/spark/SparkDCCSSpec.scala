@@ -10,7 +10,7 @@ class SparkDCCSSpec extends SparkSpec {
   private lazy val edges = SparkGraph.toDF(spark, g).cache()
 
   test("distributed-preprocessed GD matches local GD exactly") {
-    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, SparkDCCS.GD, 2, 2, 3)
+    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, Algo.GD, 2, 2, 3)
     val lo = GreedyDCCS.run(g, 2, 2, 3)
     assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
            lo.result.map(c => (c.layers, c.vertices.toSeq)))
@@ -18,7 +18,7 @@ class SparkDCCSSpec extends SparkSpec {
   }
 
   test("distributed-preprocessed BU matches local BU exactly") {
-    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, SparkDCCS.BU, 2, 2, 3)
+    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, Algo.BU, 2, 2, 3)
     val lo = BottomUpDCCS.run(g, 2, 2, 3)
     assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
            lo.result.map(c => (c.layers, c.vertices.toSeq)))
@@ -26,7 +26,7 @@ class SparkDCCSSpec extends SparkSpec {
   }
 
   test("distributed-preprocessed TD matches local TD exactly") {
-    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, SparkDCCS.TD, 2, 3, 3)
+    val sp = SparkDCCS.run(spark, edges, g.numLayers, g.numVertices, Algo.TD, 2, 3, 3)
     val lo = TopDownDCCS.run(g, 2, 3, 3)
     assert(sp.result.map(c => (c.layers, c.vertices.toSeq)) ==
            lo.result.map(c => (c.layers, c.vertices.toSeq)))
@@ -47,7 +47,7 @@ class SparkDCCSSpec extends SparkSpec {
     val gen = MLSynth.preset("ppi")
     val pe = SparkGraph.toDF(spark, gen.graph)
     val l = gen.graph.numLayers
-    val sp = SparkDCCS.run(spark, pe, l, gen.graph.numVertices, SparkDCCS.BU, 4, 3, 10)
+    val sp = SparkDCCS.run(spark, pe, l, gen.graph.numVertices, Algo.BU, 4, 3, 10)
     val lo = BottomUpDCCS.run(gen.graph, 4, 3, 10)
     assert(sp.coverSize == lo.coverSize)
     assert(sp.result.map(_.layers).toSet == lo.result.map(_.layers).toSet)
